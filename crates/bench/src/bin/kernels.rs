@@ -31,7 +31,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc_bench::{paper_matmul_dims, quick_matmul_dims, run_matmul, RunResult};
-use zkvc_core::api::{compile_shape, generate_witness_for};
+use zkvc_core::api::{compile_shape, generate_witness_for, RawCircuit};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
 use zkvc_curve::tune::{self as curve_tune, msm_decision, MsmParams, ProbeConfig};
@@ -170,9 +170,10 @@ fn bench_synth(shapes: &[(&str, (usize, usize, usize), Strategy)]) -> Vec<SynthR
         for backend in Backend::ALL {
             let system = backend.system();
             let mut setup_rng = StdRng::seed_from_u64(0xC0FFEE);
-            let (pk_legacy, _) = backend.setup(&job.cs, &mut setup_rng);
+            let eager = RawCircuit::new(&job.cs);
+            let (pk_legacy, _) = system.setup(&eager, &mut setup_rng);
             let mut prove_rng = StdRng::seed_from_u64(0xBEEF);
-            let legacy = backend.prove_with_key(&pk_legacy, &job.cs, &mut prove_rng);
+            let legacy = system.prove(&pk_legacy, &eager, &mut prove_rng);
 
             let mut setup_rng = StdRng::seed_from_u64(0xC0FFEE);
             let (pk_split, _) = system.setup_shape(&Arc::new(shape.clone()), &mut setup_rng);

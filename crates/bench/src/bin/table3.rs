@@ -10,11 +10,10 @@
 //! Accuracy columns are echoed from the paper: they are a property of
 //! training, which is out of scope here (DESIGN.md, substitution S4).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_bench::{full_mode, paper, secs};
+use zkvc_bench::{full_mode, paper, prove_and_verify, secs};
+use zkvc_core::api::RawCircuit;
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
 use zkvc_nn::circuit::ModelCircuit;
@@ -76,17 +75,9 @@ fn main() {
             let circuit = ModelCircuit::build(model, &schedule, Strategy::CrpcPsq, 7);
             assert!(circuit.cs.is_satisfied(), "{dataset}/{}", schedule.name);
 
-            let t0 = Instant::now();
-            let g = Backend::Groth16.prove_cs(&circuit.cs, &mut rng);
-            let pg = t0.elapsed();
-            let (g_ok, gv) = Backend::Groth16.verify_cs_timed(&circuit.cs, &g);
-            assert!(g_ok);
-
-            let t1 = Instant::now();
-            let s = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-            let ps = t1.elapsed();
-            let (s_ok, _sv) = Backend::Spartan.verify_cs_timed(&circuit.cs, &s);
-            assert!(s_ok);
+            let raw = RawCircuit::new(&circuit.cs);
+            let (pg, gv) = prove_and_verify(Backend::Groth16, &raw, &mut rng);
+            let (ps, _sv) = prove_and_verify(Backend::Spartan, &raw, &mut rng);
 
             println!(
                 "{:<15} {:<12} {:>12} {:>10} {:>10} {:>10}",

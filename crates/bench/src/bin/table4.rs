@@ -5,11 +5,10 @@
 //! `--full` runs the full 4-layer, 256-dim, 128-token model. GLUE accuracy
 //! columns are echoed from the paper (substitution S4).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_bench::{full_mode, paper, secs};
+use zkvc_bench::{full_mode, paper, prove_and_verify, secs};
+use zkvc_core::api::RawCircuit;
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
 use zkvc_nn::circuit::ModelCircuit;
@@ -55,15 +54,9 @@ fn main() {
         let circuit = ModelCircuit::build(&model, schedule, Strategy::CrpcPsq, 13);
         assert!(circuit.cs.is_satisfied(), "{}", schedule.name);
 
-        let t0 = Instant::now();
-        let g = Backend::Groth16.prove_cs(&circuit.cs, &mut rng);
-        let pg = t0.elapsed();
-        assert!(Backend::Groth16.verify_cs(&circuit.cs, &g));
-
-        let t1 = Instant::now();
-        let s = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-        let ps = t1.elapsed();
-        assert!(Backend::Spartan.verify_cs(&circuit.cs, &s));
+        let raw = RawCircuit::new(&circuit.cs);
+        let (pg, _gv) = prove_and_verify(Backend::Groth16, &raw, &mut rng);
+        let (ps, _sv) = prove_and_verify(Backend::Spartan, &raw, &mut rng);
 
         println!(
             "{:<12} {:>12} {:>10} {:>10}",

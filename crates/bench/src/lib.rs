@@ -1,15 +1,25 @@
 //! # zkvc-bench
 //!
-//! Shared measurement plumbing for the harness binaries and criterion
-//! benches that regenerate the paper's tables and figures. See DESIGN.md
-//! ("Per-experiment index") for the mapping from each table/figure to the
-//! binary that reproduces it.
+//! Shared measurement plumbing for the harness binaries that regenerate
+//! the paper's tables and figures, one binary each: `table1` (the scheme
+//! feature matrix), `table2` (the CRPC/PSQ ablation), `fig3` and `fig6`
+//! (matmul prove and verify times), `table3` (ViT) and `table4` (BERT).
+//! The `pool`, `distributed` and `kernels` binaries measure the runtime
+//! and the MSM/FFT kernels rather than a paper experiment.
+//!
+//! Every harness proves through the split [`ProofSystem`] path: a timed
+//! setup, then proving and verifying against the keys it produced.
 //!
 //! All binaries accept `--full` to run the paper-scale shapes (slow: the
 //! substrate here is an unoptimised pure-Rust pairing stack, not libsnark
 //! with hand-tuned assembly on a 16-core Threadripper); the default "quick"
 //! mode runs reduced shapes with the same structure so that the relative
-//! behaviour — who wins and by roughly what factor — is visible in seconds.
+//! behaviour — who wins and by roughly what factor — is visible. Quick
+//! `table2`, `fig3` and `fig6` take seconds to about a minute on two
+//! cores; quick `table3` and `table4` prove model slices and take many
+//! minutes.
+//!
+//! [`ProofSystem`]: zkvc_core::ProofSystem
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -19,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc_core::api::{Circuit, RawCircuit};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
 
@@ -73,12 +84,14 @@ pub fn run_matmul(
     let job = MatMulBuilder::new(dims.0, dims.1, dims.2)
         .strategy(strategy)
         .build_random(&mut rng);
+    let system = backend.system();
+    let circuit = RawCircuit::new(&job.cs);
     let t0 = Instant::now();
-    let (pk, vk) = backend.setup(&job.cs, &mut rng);
+    let (pk, vk) = system.setup(&circuit, &mut rng);
     let setup = t0.elapsed();
-    let artifacts = backend.prove_with_key(&pk, &job.cs, &mut rng);
+    let artifacts = system.prove(&pk, &circuit, &mut rng);
     let t1 = Instant::now();
-    let ok = backend.verify_with_key(&vk, &artifacts);
+    let ok = system.verify(&vk, &artifacts);
     let verify = t1.elapsed();
     RunResult {
         label: label.to_string(),
@@ -89,6 +102,28 @@ pub fn run_matmul(
         constraints: artifacts.metrics.num_constraints,
         ok,
     }
+}
+
+/// Sets up and proves `circuit` on `backend`, then verifies the proof
+/// against the verifier key from that setup. Returns the setup + prove
+/// wall time (the paper's end-to-end model prove time) and the verify
+/// time, which is the pairing or sum-check check alone: no shape compile.
+///
+/// # Panics
+/// Panics if the proof does not verify.
+pub fn prove_and_verify(
+    backend: Backend,
+    circuit: &dyn Circuit,
+    rng: &mut StdRng,
+) -> (Duration, Duration) {
+    let system = backend.system();
+    let t0 = Instant::now();
+    let (pk, vk) = system.setup(circuit, rng);
+    let artifacts = system.prove(&pk, circuit, rng);
+    let prove = t0.elapsed();
+    let t1 = Instant::now();
+    assert!(system.verify(&vk, &artifacts), "{backend} proof rejected");
+    (prove, t1.elapsed())
 }
 
 /// Measures the interactive (zkCNN-style) sum-check baseline on the same

@@ -547,7 +547,7 @@ mod tests {
                 system.verify_with_circuit(&circuit, &artifacts),
                 "{backend:?}"
             );
-            // The trait binds public outputs exactly like the Backend API.
+            // The proof binds its public outputs.
             let mut tampered = artifacts.clone();
             tampered.public_inputs[0] += Fr::one();
             assert!(!system.verify(&vk, &tampered), "{backend:?}");

@@ -16,9 +16,9 @@
 //! * [`api`] — the circuit-generic proving API: the [`Circuit`] and
 //!   [`ProofSystem`] traits, their Groth16/Spartan implementations, and the
 //!   canonical circuit-shape digest.
-//! * [`backend`] — the [`Backend`] enum, a `Copy` dispatcher over the two
-//!   [`ProofSystem`] implementations, with per-run cost metrics used by the
-//!   benchmark harnesses.
+//! * [`backend`] — the [`Backend`] tag (parse, display, and
+//!   [`Backend::system`] dispatch to the two [`ProofSystem`]
+//!   implementations) plus the key, proof and metrics types they share.
 //! * [`schemes`] — the qualitative feature matrix of Table I.
 //!
 //! ## Example
@@ -37,8 +37,10 @@
 //! let job = MatMulBuilder::new(2, 2, 2)
 //!     .strategy(Strategy::CrpcPsq)
 //!     .build_integers(&x, &w);
-//! let artifacts = Backend::Groth16.prove(&job, &mut rng);
-//! assert!(Backend::Groth16.verify(&job, &artifacts));
+//! let system = Backend::Groth16.system();
+//! let (pk, vk) = system.setup(&job, &mut rng);
+//! let artifacts = system.prove(&pk, &job, &mut rng);
+//! assert!(system.verify(&vk, &artifacts));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@
 //! into a thread-local slot, and kernels call [`checkpoint`] at natural
 //! stage boundaries (once per MSM window, once per FFT stage).
 //!
-//! When the predicate reports cancellation, [`checkpoint`] panics with the
+//! When the predicate reports cancellation, [`checkpoint`] unwinds with the
 //! [`Cancelled`] marker payload. The pool's existing `catch_unwind` job
 //! containment downcasts the payload and records the job as cancelled (or
 //! past its deadline) instead of panicked — no kernel returns a `Result`,
@@ -89,14 +89,18 @@ pub fn current() -> Option<CancelCheck> {
     CHECK.with(|c| c.borrow().clone())
 }
 
-/// Cooperative cancellation point. Panics with the [`Cancelled`] marker
+/// Cooperative cancellation point. Unwinds with the [`Cancelled`] marker
 /// when the installed predicate reports cancellation; a no-op (one
 /// thread-local read) when nothing is installed.
+///
+/// The unwind starts with [`std::panic::resume_unwind`], which skips the
+/// panic hook: a requested stop is not a crash, so it prints no panic
+/// message and captures no backtrace.
 #[inline]
 pub fn checkpoint() {
     let cancelled = CHECK.with(|c| c.borrow().as_ref().is_some_and(|f| f()));
     if cancelled {
-        std::panic::panic_any(Cancelled);
+        std::panic::resume_unwind(Box::new(Cancelled));
     }
 }
 

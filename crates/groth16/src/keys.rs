@@ -7,7 +7,7 @@ use rand::Rng;
 use zkvc_curve::{pairing, G1Affine, G1Projective, Gt};
 use zkvc_ff::{Field, Fr};
 use zkvc_qap::evaluate_qap_at_point;
-use zkvc_r1cs::{CompiledShape, ConstraintSystem};
+use zkvc_r1cs::CompiledShape;
 
 /// A Groth16 proof: three group elements, independent of circuit size.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -170,17 +170,6 @@ impl ProvingKey {
     }
 }
 
-/// Runs the circuit-specific trusted setup from a legacy single-pass
-/// constraint system. The constraint *structure* of `cs` is what matters
-/// here; the assigned values are ignored. Equivalent to
-/// [`setup_shape`] over [`CompiledShape::from_cs`].
-pub fn setup<R: Rng + ?Sized>(
-    cs: &ConstraintSystem<Fr>,
-    rng: &mut R,
-) -> (ProvingKey, VerifyingKey) {
-    setup_shape(Arc::new(CompiledShape::from_cs(cs)), rng)
-}
-
 /// Runs the circuit-specific trusted setup against a compiled shape,
 /// producing a proving key and a verification key. This is the witness-free
 /// entry point: nothing here ever sees an assignment, only the CSR
@@ -293,6 +282,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::PrimeField;
+    use zkvc_r1cs::ConstraintSystem;
+
+    fn setup_cs(cs: &ConstraintSystem<Fr>, rng: &mut StdRng) -> (ProvingKey, VerifyingKey) {
+        setup_shape(Arc::new(CompiledShape::from_cs(cs)), rng)
+    }
 
     fn square_circuit() -> ConstraintSystem<Fr> {
         let mut cs = ConstraintSystem::<Fr>::new();
@@ -306,7 +300,7 @@ mod tests {
     fn setup_shapes() {
         let cs = square_circuit();
         let mut rng = StdRng::seed_from_u64(3);
-        let (pk, vk) = setup(&cs, &mut rng);
+        let (pk, vk) = setup_cs(&cs, &mut rng);
         assert_eq!(pk.a_query.len(), cs.num_variables());
         assert_eq!(pk.b_g2_query.len(), cs.num_variables());
         assert_eq!(vk.gamma_abc_g1.len(), cs.num_instance() + 1);
@@ -332,7 +326,7 @@ mod tests {
     fn verifying_key_serialization_roundtrip() {
         let cs = square_circuit();
         let mut rng = StdRng::seed_from_u64(4);
-        let (_pk, vk) = setup(&cs, &mut rng);
+        let (_pk, vk) = setup_cs(&cs, &mut rng);
         let bytes = vk.to_bytes();
         let back = VerifyingKey::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.alpha_g1, vk.alpha_g1);
@@ -356,8 +350,8 @@ mod tests {
         // fails verification.
         let cs = square_circuit();
         let mut rng = StdRng::seed_from_u64(5);
-        let (pk, vk) = setup(&cs, &mut rng);
-        let proof = crate::prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_cs(&cs, &mut rng);
+        let proof = crate::prove_assignment(&pk, &cs.full_assignment(), &mut rng);
 
         let vk2 = VerifyingKey::from_bytes(&vk.to_bytes()).unwrap();
         let proof_bytes = proof.to_bytes();

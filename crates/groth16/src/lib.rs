@@ -13,8 +13,9 @@
 //! ## Example
 //!
 //! ```rust
-//! use zkvc_groth16::{setup, prove, verify};
-//! use zkvc_r1cs::{ConstraintSystem, LinearCombination};
+//! use std::sync::Arc;
+//! use zkvc_groth16::{prove_assignment, setup_shape, verify};
+//! use zkvc_r1cs::{CompiledShape, ConstraintSystem};
 //! use zkvc_ff::{Fr, PrimeField};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -26,8 +27,8 @@
 //! cs.enforce(x.into(), x.into(), out.into());
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let (pk, vk) = setup(&cs, &mut rng);
-//! let proof = prove(&pk, &cs, &mut rng);
+//! let (pk, vk) = setup_shape(Arc::new(CompiledShape::from_cs(&cs)), &mut rng);
+//! let proof = prove_assignment(&pk, &cs.full_assignment(), &mut rng);
 //! assert!(verify(&vk, cs.instance_assignment(), &proof));
 //! ```
 
@@ -39,6 +40,6 @@ mod keys;
 mod prover;
 mod verifier;
 
-pub use keys::{setup, setup_shape, Proof, ProvingKey, VerifyingKey};
-pub use prover::{prove, prove_assignment};
+pub use keys::{setup_shape, Proof, ProvingKey, VerifyingKey};
+pub use prover::prove_assignment;
 pub use verifier::{prepare_inputs, verify};

@@ -11,28 +11,8 @@ use rand::Rng;
 use zkvc_curve::msm;
 use zkvc_ff::{Field, Fr};
 use zkvc_qap::compute_h_coefficients_in;
-use zkvc_r1cs::ConstraintSystem;
 
 use crate::keys::{Proof, ProvingKey};
-
-/// Produces a proof from a legacy single-pass constraint system: the full
-/// assignment is extracted and handed to [`prove_assignment`]. The
-/// constraint matrices come from the shape compiled at setup time — the
-/// system's own constraints are *not* re-extracted.
-///
-/// # Panics
-/// Panics if the assignment does not satisfy the constraint system (callers
-/// should check [`ConstraintSystem::is_satisfied`] when the witness comes
-/// from untrusted code) or if the circuit shape does not match the proving
-/// key.
-pub fn prove<R: Rng + ?Sized>(pk: &ProvingKey, cs: &ConstraintSystem<Fr>, rng: &mut R) -> Proof {
-    assert_eq!(
-        pk.shape.num_variables(),
-        cs.num_variables(),
-        "proving key does not match this circuit"
-    );
-    prove_assignment(pk, &cs.full_assignment(), rng)
-}
 
 /// Produces a proof from a flat assignment `z = (1, instance, witness)`
 /// against the shape compiled into the proving key. This is the whole
@@ -87,12 +67,21 @@ pub fn prove_assignment<R: Rng + ?Sized>(pk: &ProvingKey, z: &[Fr], rng: &mut R)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::setup;
+    use crate::keys::{setup_shape, VerifyingKey};
     use crate::verifier::verify;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
     use zkvc_ff::PrimeField;
-    use zkvc_r1cs::LinearCombination;
+    use zkvc_r1cs::{CompiledShape, ConstraintSystem, LinearCombination};
+
+    fn setup_cs(cs: &ConstraintSystem<Fr>, rng: &mut StdRng) -> (ProvingKey, VerifyingKey) {
+        setup_shape(Arc::new(CompiledShape::from_cs(cs)), rng)
+    }
+
+    fn prove_cs(pk: &ProvingKey, cs: &ConstraintSystem<Fr>, rng: &mut StdRng) -> Proof {
+        prove_assignment(pk, &cs.full_assignment(), rng)
+    }
 
     /// Build the cubic circuit x^3 + x + 5 = out.
     fn cubic(x_val: u64) -> ConstraintSystem<Fr> {
@@ -118,8 +107,8 @@ mod tests {
     fn prove_and_verify_roundtrip() {
         let mut rng = StdRng::seed_from_u64(42);
         let cs = cubic(3);
-        let (pk, vk) = setup(&cs, &mut rng);
-        let proof = prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_cs(&cs, &mut rng);
+        let proof = prove_cs(&pk, &cs, &mut rng);
         assert!(verify(&vk, cs.instance_assignment(), &proof));
     }
 
@@ -127,8 +116,8 @@ mod tests {
     fn verification_rejects_wrong_public_input() {
         let mut rng = StdRng::seed_from_u64(43);
         let cs = cubic(3);
-        let (pk, vk) = setup(&cs, &mut rng);
-        let proof = prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_cs(&cs, &mut rng);
+        let proof = prove_cs(&pk, &cs, &mut rng);
         assert!(!verify(&vk, &[Fr::from_u64(36)], &proof));
     }
 
@@ -136,8 +125,8 @@ mod tests {
     fn verification_rejects_tampered_proof() {
         let mut rng = StdRng::seed_from_u64(44);
         let cs = cubic(3);
-        let (pk, vk) = setup(&cs, &mut rng);
-        let mut proof = prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_cs(&cs, &mut rng);
+        let mut proof = prove_cs(&pk, &cs, &mut rng);
         proof.a = (proof.a.to_projective() + zkvc_curve::G1Projective::generator()).to_affine();
         assert!(!verify(&vk, cs.instance_assignment(), &proof));
     }
@@ -149,9 +138,9 @@ mod tests {
         // bytes must not change however extreme the installed profile.
         let cs = cubic(3);
         let mut setup_rng = StdRng::seed_from_u64(42);
-        let (pk, _) = setup(&cs, &mut setup_rng);
+        let (pk, _) = setup_cs(&cs, &mut setup_rng);
         let mut rng = StdRng::seed_from_u64(47);
-        let baseline = prove(&pk, &cs, &mut rng);
+        let baseline = prove_cs(&pk, &cs, &mut rng);
 
         let mut extreme = zkvc_curve::tune::TuneProfile::static_profile();
         extreme.msm.affine_mask = !0u64;
@@ -159,7 +148,7 @@ mod tests {
         extreme.fft.par_mask = !0u64;
         let previous = zkvc_curve::tune::activate(&extreme);
         let mut rng = StdRng::seed_from_u64(47);
-        let tuned = prove(&pk, &cs, &mut rng);
+        let tuned = prove_cs(&pk, &cs, &mut rng);
         zkvc_curve::tune::restore(previous);
 
         assert_eq!(tuned, baseline);
@@ -169,9 +158,9 @@ mod tests {
     fn proofs_are_randomised_but_all_verify() {
         let mut rng = StdRng::seed_from_u64(45);
         let cs = cubic(5);
-        let (pk, vk) = setup(&cs, &mut rng);
-        let p1 = prove(&pk, &cs, &mut rng);
-        let p2 = prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_cs(&cs, &mut rng);
+        let p1 = prove_cs(&pk, &cs, &mut rng);
+        let p2 = prove_cs(&pk, &cs, &mut rng);
         // zero-knowledge blinding makes proofs distinct
         assert_ne!(p1, p2);
         assert!(verify(&vk, cs.instance_assignment(), &p1));
@@ -190,10 +179,10 @@ mod tests {
             cs
         };
         let cs = make(Fr::from_u64(7));
-        let (pk, vk) = setup(&cs, &mut rng);
-        let p1 = prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_cs(&cs, &mut rng);
+        let p1 = prove_cs(&pk, &cs, &mut rng);
         let cs2 = make(-Fr::from_u64(7));
-        let p2 = prove(&pk, &cs2, &mut rng);
+        let p2 = prove_cs(&pk, &cs2, &mut rng);
         assert!(verify(&vk, &[Fr::from_u64(49)], &p1));
         assert!(verify(&vk, &[Fr::from_u64(49)], &p2));
     }

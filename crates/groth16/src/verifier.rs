@@ -46,12 +46,13 @@ pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::setup;
-    use crate::prover::prove;
+    use crate::keys::setup_shape;
+    use crate::prover::prove_assignment;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
     use zkvc_ff::{Field, PrimeField};
-    use zkvc_r1cs::ConstraintSystem;
+    use zkvc_r1cs::{CompiledShape, ConstraintSystem};
 
     #[test]
     fn wrong_input_count_rejected() {
@@ -60,8 +61,8 @@ mod tests {
         let out = cs.alloc_instance(Fr::from_u64(4));
         let x = cs.alloc_witness(Fr::from_u64(2));
         cs.enforce(x.into(), x.into(), out.into());
-        let (pk, vk) = setup(&cs, &mut rng);
-        let proof = prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_shape(Arc::new(CompiledShape::from_cs(&cs)), &mut rng);
+        let proof = prove_assignment(&pk, &cs.full_assignment(), &mut rng);
         assert!(verify(&vk, &[Fr::from_u64(4)], &proof));
         // too many / too few public inputs
         assert!(!verify(&vk, &[Fr::from_u64(4), Fr::from_u64(1)], &proof));
@@ -84,8 +85,8 @@ mod tests {
             q.into(),
         );
         assert!(cs.is_satisfied());
-        let (pk, vk) = setup(&cs, &mut rng);
-        let proof = prove(&pk, &cs, &mut rng);
+        let (pk, vk) = setup_shape(Arc::new(CompiledShape::from_cs(&cs)), &mut rng);
+        let proof = prove_assignment(&pk, &cs.full_assignment(), &mut rng);
         assert!(verify(&vk, &[Fr::from_u64(21), Fr::from_u64(10)], &proof));
         // swapped public inputs must fail
         assert!(!verify(&vk, &[Fr::from_u64(10), Fr::from_u64(21)], &proof));

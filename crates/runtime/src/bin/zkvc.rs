@@ -28,14 +28,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use zkvc_r1cs::Severity;
 use zkvc_runtime::analysis::{self, Baseline};
 use zkvc_runtime::{
-    build_statement, fault, prove_batch_serial, run_client, run_sweep, run_worker, serve,
-    serve_listener, ClientConfig, DiskKeyCache, Error, JobOptions, JobSpec, KeyCache, ListenAddr,
-    NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
+    build_statement, fault, prove_batch_serial, prove_request, run_client, run_sweep, run_worker,
+    serve, serve_listener, ClientConfig, DiskKeyCache, Error, JobOptions, JobSpec, KeyCache,
+    ListenAddr, NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
 };
 
 const USAGE: &str = "\
@@ -908,11 +906,13 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
     let out_path = flag_value(args, "--out")?
         .ok_or_else(|| Error::Usage("prove requires --out FILE".into()))?;
 
-    let statement = build_statement(seed, 0, &spec);
-    // The shape pass is witness-free: setup (and the digest the disk cache
-    // keys on) never materialises statement values.
-    let cache = KeyCache::with_seed(seed);
-    let (keys, _) = cache.get_or_setup_circuit(spec.backend(), statement.as_ref());
+    // The request-mode job a `zkvc serve` request or a pool job submitted
+    // with its own seed runs: same executor, same proof bytes.
+    let proved = prove_request(&spec, seed).unwrap_or_else(|e| panic!("zkvc prove: {e}"));
+    if !proved.verified {
+        return Err(Error::VerificationFailed);
+    }
+    let keys = &proved.keys;
     // Seed the disk cache so a later `zkvc verify` starts warm.
     if let (Some(disk), zkvc_core::VerifierKey::Groth16(vk)) =
         (key_cache_from_args(args)?, &keys.verifier)
@@ -921,21 +921,13 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
             eprintln!("warning: could not persist vk to key cache: {e}");
         }
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let t0 = Instant::now();
-    // Witness pass against the cached shape, then the assignment-level
-    // prover — the same split hot path the pool runs.
-    let witness = zkvc_core::api::generate_witness_for(statement.as_ref(), &keys.shape);
-    let artifacts = spec
-        .backend()
-        .system()
-        .prove_assignment(&keys.prover, &witness, &mut rng);
-    let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
+    // The file is self-contained: the Groth16 vk travels inside it.
+    let artifacts = &proved.artifacts;
+    let bytes = ProofEnvelope::from_artifacts(artifacts).to_bytes();
     std::fs::write(out_path, &bytes).map_err(|e| Error::io(out_path, e))?;
     println!(
-        "proved {} ({spec}) in {:.3}s ({} constraints, {} public outputs), wrote {} bytes to {out_path}",
-        statement.name(),
-        t0.elapsed().as_secs_f64(),
+        "proved {spec} in {:.3}s ({} constraints, {} public outputs), wrote {} bytes to {out_path}",
+        (proved.build_time + proved.prove_time).as_secs_f64(),
         artifacts.metrics.num_constraints,
         artifacts.public_inputs.len(),
         bytes.len()

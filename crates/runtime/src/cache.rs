@@ -46,10 +46,10 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_core::api::{compile_shape, Circuit, RawCircuit};
+use zkvc_core::api::{compile_shape, Circuit};
 use zkvc_core::{Backend, ProverKey, VerifierKey};
 use zkvc_ff::Fr;
-use zkvc_r1cs::{CompiledShape, ConstraintSystem};
+use zkvc_r1cs::CompiledShape;
 
 /// The cached product of one shape compile + setup run for one circuit
 /// shape.
@@ -237,19 +237,6 @@ impl KeyCache {
                     None => true, // template compile in flight
                 });
         }
-    }
-
-    /// Returns the keys for the shape of `cs`, compiling the shape and
-    /// running the backend's
-    /// [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape) at
-    /// most once per shape. The boolean is `true` when the entry already
-    /// existed (a cache hit).
-    pub fn get_or_setup(
-        &self,
-        backend: Backend,
-        cs: &ConstraintSystem<Fr>,
-    ) -> (Arc<CircuitKeys>, bool) {
-        self.get_or_setup_circuit(backend, &RawCircuit::new(cs))
     }
 
     /// Trait-object entry point: any [`Circuit`] — a matmul statement, a
@@ -462,7 +449,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use zkvc_core::api::RawCircuit;
     use zkvc_core::matmul::{MatMulBuilder, Strategy};
+    use zkvc_r1cs::ConstraintSystem;
+
+    /// The cache entry for the shape of `cs` at the cache's own seed.
+    fn lookup(
+        cache: &KeyCache,
+        backend: Backend,
+        cs: &ConstraintSystem<Fr>,
+    ) -> (Arc<CircuitKeys>, bool) {
+        cache.get_or_setup_circuit(backend, &RawCircuit::new(cs))
+    }
 
     fn matmul_cs(seed: u64, n: usize) -> ConstraintSystem<Fr> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -475,15 +473,15 @@ mod tests {
     #[test]
     fn same_shape_hits_different_shape_misses() {
         let cache = KeyCache::new();
-        let (k1, hit1) = cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 3));
-        let (k2, hit2) = cache.get_or_setup(Backend::Spartan, &matmul_cs(2, 3));
+        let (k1, hit1) = lookup(&cache, Backend::Spartan, &matmul_cs(1, 3));
+        let (k2, hit2) = lookup(&cache, Backend::Spartan, &matmul_cs(2, 3));
         assert!(!hit1 && hit2);
         assert_eq!(k1.digest, k2.digest);
         assert!(Arc::ptr_eq(&k1, &k2));
 
         // Different shape and different backend each get their own entry.
-        let (_k3, hit3) = cache.get_or_setup(Backend::Spartan, &matmul_cs(3, 4));
-        let (_k4, hit4) = cache.get_or_setup(Backend::Groth16, &matmul_cs(4, 3));
+        let (_k3, hit3) = lookup(&cache, Backend::Spartan, &matmul_cs(3, 4));
+        let (_k4, hit4) = lookup(&cache, Backend::Groth16, &matmul_cs(4, 3));
         assert!(!hit3 && !hit4);
 
         let stats = cache.stats();
@@ -500,14 +498,12 @@ mod tests {
         for backend in Backend::ALL {
             let cs1 = matmul_cs(10, 3);
             let cs2 = matmul_cs(11, 3);
-            let (keys, _) = cache.get_or_setup(backend, &cs1);
-            let (keys_again, hit) = cache.get_or_setup(backend, &cs2);
+            let (keys, _) = lookup(&cache, backend, &cs1);
+            let (keys_again, hit) = lookup(&cache, backend, &cs2);
             assert!(hit, "{backend:?}");
-            let artifacts = backend.prove_with_key(&keys_again.prover, &cs2, &mut rng);
-            assert!(
-                backend.verify_with_key(&keys.verifier, &artifacts),
-                "{backend:?}"
-            );
+            let system = backend.system();
+            let artifacts = system.prove(&keys_again.prover, &RawCircuit::new(&cs2), &mut rng);
+            assert!(system.verify(&keys.verifier, &artifacts), "{backend:?}");
         }
     }
 
@@ -515,7 +511,7 @@ mod tests {
     fn cached_shape_matches_circuit() {
         let cache = KeyCache::new();
         let cs = matmul_cs(12, 3);
-        let (keys, _) = cache.get_or_setup(Backend::Groth16, &cs);
+        let (keys, _) = lookup(&cache, Backend::Groth16, &cs);
         assert_eq!(keys.shape.digest, keys.digest);
         assert_eq!(keys.shape.num_constraints(), cs.num_constraints());
         assert_eq!(keys.shape.num_instance(), cs.num_instance());
@@ -530,7 +526,7 @@ mod tests {
             let cache = cache.clone();
             handles.push(std::thread::spawn(move || {
                 let cs = matmul_cs(100 + i, 3);
-                cache.get_or_setup(Backend::Spartan, &cs).0
+                lookup(&cache, Backend::Spartan, &cs).0
             }));
         }
         let keys: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -592,7 +588,6 @@ mod tests {
 
     #[test]
     fn entries_are_seed_aware() {
-        use zkvc_core::api::RawCircuit;
         let cache = KeyCache::with_seed(1);
         let cs = matmul_cs(5, 3);
         let circuit = RawCircuit::new(&cs);
@@ -620,7 +615,7 @@ mod tests {
 
     #[test]
     fn byte_bound_evicts_cold_shapes_and_keeps_hot_ones_warm() {
-        use zkvc_core::api::{compile_shape, RawCircuit};
+        use zkvc_core::api::compile_shape;
         let hot_cs = matmul_cs(1, 3);
         let probe = compile_shape(&RawCircuit::new(&hot_cs)).approx_bytes();
         let max_cold = compile_shape(&RawCircuit::new(&matmul_cs(1, 9))).approx_bytes();
@@ -675,11 +670,11 @@ mod tests {
         // A bound smaller than any single shape: each insertion survives
         // its own eviction pass and is displaced by the next shape.
         let cache = KeyCache::new().bound_shape_bytes(1);
-        let (k1, hit1) = cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 3));
+        let (k1, hit1) = lookup(&cache, Backend::Spartan, &matmul_cs(1, 3));
         assert!(!hit1);
         assert!(cache.get(&k1.digest, Backend::Spartan, 0).is_some());
 
-        let (k2, _) = cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 4));
+        let (k2, _) = lookup(&cache, Backend::Spartan, &matmul_cs(1, 4));
         assert!(
             cache.get(&k1.digest, Backend::Spartan, 0).is_none(),
             "previous oversized entry displaced"
@@ -692,7 +687,7 @@ mod tests {
     #[test]
     fn clear_retains_counters() {
         let cache = KeyCache::new();
-        cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 2));
+        lookup(&cache, Backend::Spartan, &matmul_cs(1, 2));
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);

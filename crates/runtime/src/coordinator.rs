@@ -247,7 +247,7 @@ impl Coordinator {
         // A job that is already cancelled or past its deadline is
         // answered inline — execute_locally short-circuits without
         // proving, and shipping it would only burn a remote slot.
-        if pool.job_status(&job).is_some() {
+        if pool.must_stop(&job) {
             let session = job.session.clone();
             let result = pool.execute_locally(&job, 0);
             pool.deliver(session, result);

@@ -122,7 +122,7 @@ mod tests {
         assert!(cache.load_groth16_vk(&digest, 7).is_none());
 
         let mem = KeyCache::with_seed(7);
-        let (keys, _) = mem.get_or_setup(Backend::Groth16, &job.cs);
+        let (keys, _) = mem.get_or_setup_circuit(Backend::Groth16, &job);
         let VerifierKey::Groth16(vk) = &keys.verifier else {
             panic!("groth16 setup must yield a groth16 key");
         };

@@ -22,6 +22,8 @@
 //!   bounded-queue backpressure, cooperative cancellation, per-job panic
 //!   containment) with `submit`/`join` semantics, per-job metrics
 //!   ([`JobResult`]) and aggregate throughput stats ([`BatchReport`]).
+//! * [`prove_request`] — the one job executor behind the pool, the remote
+//!   workers and `zkvc prove`, as its request-mode entry point.
 //! * [`serve`] — the resident `zkvc serve` loop: JSON-lines requests in,
 //!   streamed proof responses out, key cache warm across requests.
 //! * [`analysis`] — the `zkvc analyze` layer: runs the `zkvc-r1cs`
@@ -65,6 +67,7 @@ pub mod codec;
 mod coordinator;
 mod disk;
 mod error;
+mod exec;
 pub mod fault;
 pub mod net;
 mod pool;
@@ -81,6 +84,7 @@ pub use analysis::{analyze_spec, analyze_specs, Baseline, Preflight, SpecAnalysi
 pub use cache::{CacheStats, CircuitKeys, KeyCache};
 pub use disk::DiskKeyCache;
 pub use error::Error;
+pub use exec::{prove_request, ProvedJob};
 pub use net::{
     run_client, run_sweep, serve_listener, AnyStream, ClientConfig, ClientReport, ListenAddr,
     NetConfig, NetSummary, SessionReport,

@@ -13,16 +13,17 @@
 //! verification, so the pool continuously exercises the cross-process
 //! path.
 //!
-//! Failure containment: each job runs under `catch_unwind`, so a
-//! panicking job (or a panicking proving backend) becomes a recorded
-//! [`JobError::Panicked`] result instead of unwinding through the worker
-//! and aborting the process — one bad job cannot take down a long-running
-//! `zkvc serve`. Cooperative cancellation ([`ProvingPool::cancel`])
-//! drains the backlog as [`JobError::Cancelled`] results promptly,
-//! without proving them.
+//! Jobs run through the job executor in `exec.rs`, which remote workers
+//! and `zkvc prove` run too, so a job proves to the same bytes wherever it
+//! lands. Failure containment: the executor runs each job under
+//! `catch_unwind`, so a panicking job (or a panicking proving backend)
+//! becomes a recorded [`JobError::Panicked`] result instead of unwinding
+//! through the worker and aborting the process — one bad job cannot take
+//! down a long-running `zkvc serve`. Cooperative cancellation
+//! ([`ProvingPool::cancel`]) drains the backlog as [`JobError::Cancelled`]
+//! results promptly, without proving them.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -32,7 +33,7 @@ use core::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_core::api::{compile_shape, generate_witness_for, Circuit};
+use zkvc_core::api::{compile_shape, Circuit};
 use zkvc_core::matmul::{MatMulBuilder, ZSource};
 use zkvc_core::VerifierKey;
 use zkvc_ff::Fr;
@@ -40,6 +41,7 @@ use zkvc_hash::{sha256, Transcript};
 use zkvc_nn::circuit::ModelStatement;
 
 use crate::cache::{CacheStats, KeyCache};
+use crate::exec::{self, prover_rng};
 use crate::sched::{Priority, Scheduler, SchedulerPolicy};
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
@@ -89,8 +91,8 @@ impl fmt::Display for JobError {
 ///
 /// Two jobs it does for the network layer:
 ///
-/// * **Per-session backpressure** — [`ProvingPool::submit_for_session`]
-///   blocks while the session already has `limit` jobs in flight
+/// * **Per-session backpressure** — [`ProvingPool::submit`] with
+///   [`JobOptions::session`] blocks while the session already has `limit` jobs in flight
 ///   (queued or proving), so one flooding client fills its own pipe
 ///   instead of monopolising the pool's shared queue bound.
 /// * **Cancel-on-disconnect** — [`SessionCtl::cancel`] marks the
@@ -543,11 +545,9 @@ impl PoolConfig {
 /// completion order. Used by `zkvc serve` to stream responses.
 pub type ResultSink = Arc<dyn Fn(&JobResult) + Send + Sync>;
 
-/// Per-job submission options for [`ProvingPool::submit`] — the one
-/// submission surface, replacing the accreted
-/// `submit`/`submit_prioritized`/`submit_request`/`submit_for_session`
-/// method family. Build with the fluent setters; the default is a plain
-/// batch job at its spec-derived priority:
+/// Per-job submission options for [`ProvingPool::submit`], the one
+/// submission surface. Build with the fluent setters; the default is a
+/// plain batch job at its spec-derived priority:
 ///
 /// ```rust
 /// use zkvc_runtime::{JobOptions, JobSpec, Priority, ProvingPool};
@@ -664,12 +664,6 @@ pub(crate) struct QueuedJob {
 }
 
 impl QueuedJob {
-    /// `true` when either the whole pool or this job's session has been
-    /// cancelled.
-    fn is_cancelled(&self, sched: &Scheduler<QueuedJob>) -> bool {
-        sched.is_cancelled() || self.session.as_ref().is_some_and(|s| s.is_cancelled())
-    }
-
     /// The id of the session the job is scoped to, if any.
     pub(crate) fn session_id(&self) -> Option<u64> {
         self.session.as_ref().map(|s| s.id())
@@ -829,7 +823,8 @@ impl ProvingPool {
             Some(seed) => (seed, 0),
             None => (self.seed, id),
         };
-        self.enqueue(QueuedJob {
+        let priority = priority.unwrap_or_else(|| spec.priority());
+        let job = QueuedJob {
             id,
             statement_id,
             seed,
@@ -838,102 +833,8 @@ impl ProvingPool {
             session,
             enqueued: now,
             deadline: deadline.map(|d| now + d),
-            priority: priority.unwrap_or_else(|| spec.priority()),
-        })
-    }
-
-    /// Enqueues a batch-mode job with an explicit priority.
-    #[deprecated(note = "use submit(spec, JobOptions::new().priority(..))")]
-    pub fn submit_prioritized(&self, spec: JobSpec, priority: Priority) -> usize {
-        self.submit(spec, JobOptions::new().priority(priority))
-    }
-
-    /// Enqueues a request-mode job (own seed, statement id 0, echoed tag).
-    #[deprecated(note = "use submit(spec, JobOptions::new().seed(..).tag_opt(..))")]
-    pub fn submit_request(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new().seed(seed).priority(priority).tag_opt(tag),
-        )
-    }
-
-    /// Enqueues a request-mode job with an optional deadline.
-    #[deprecated(note = "use submit(spec, JobOptions::new().seed(..).deadline_opt(..))")]
-    pub fn submit_request_with_deadline(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-        deadline: Option<Duration>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new()
-                .seed(seed)
-                .priority(priority)
-                .tag_opt(tag)
-                .deadline_opt(deadline),
-        )
-    }
-
-    /// Enqueues a request-mode job scoped to a client session.
-    #[deprecated(note = "use submit(spec, JobOptions::new().seed(..).session(..))")]
-    pub fn submit_for_session(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-        session: Arc<SessionCtl>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new()
-                .seed(seed)
-                .priority(priority)
-                .tag_opt(tag)
-                .session(session),
-        )
-    }
-
-    /// Enqueues a session-scoped request-mode job with an optional
-    /// deadline; the deadline clock starts *after* the session's
-    /// admission gate admits the job.
-    #[deprecated(
-        note = "use submit(spec, JobOptions::new().seed(..).session(..).deadline_opt(..))"
-    )]
-    pub fn submit_for_session_with_deadline(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-        session: Arc<SessionCtl>,
-        deadline: Option<Duration>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new()
-                .seed(seed)
-                .priority(priority)
-                .tag_opt(tag)
-                .session(session)
-                .deadline_opt(deadline),
-        )
-    }
-
-    /// Shared tail of every submit path: counts the job in flight and
-    /// hands it to the scheduler at the priority recorded on the job.
-    fn enqueue(&self, job: QueuedJob) -> usize {
-        let id = job.id;
-        let priority = job.priority;
+            priority,
+        };
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         if self.sched.submit(job, priority).is_err() {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -976,10 +877,12 @@ impl ProvingPool {
         execute_job(job, worker, &self.cache, &self.sched)
     }
 
-    /// The reason `job` must stop right now, if any (deadline first, then
-    /// pool/session cancellation).
-    pub(crate) fn job_status(&self, job: &QueuedJob) -> Option<JobError> {
-        job_status(job, &self.sched)
+    /// `true` when `job` must stop right now: its deadline passed, or the
+    /// pool or its session was cancelled.
+    pub(crate) fn must_stop(&self, job: &QueuedJob) -> bool {
+        job.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.sched.is_cancelled()
+            || job.session.as_ref().is_some_and(|s| s.is_cancelled())
     }
 
     /// Delivers a result for a leased job through the identical tail the
@@ -999,7 +902,7 @@ impl ProvingPool {
         worker: usize,
         error: JobError,
     ) -> JobResult {
-        aborted_result(job, worker, job.enqueued.elapsed(), Duration::ZERO, error)
+        aborted_result(job, worker, job.enqueued.elapsed(), error)
     }
 
     /// Closes the queue without joining the worker threads: no new
@@ -1191,7 +1094,6 @@ fn aborted_result(
     job: &QueuedJob,
     worker: usize,
     queue_wait: Duration,
-    build_time: Duration,
     error: JobError,
 ) -> JobResult {
     JobResult {
@@ -1206,39 +1108,16 @@ fn aborted_result(
         worker,
         tag: job.tag.clone(),
         queue_wait,
-        build_time,
+        build_time: Duration::ZERO,
         prove_time: Duration::ZERO,
         verify_time: Duration::ZERO,
         num_constraints: 0,
-        session_id: job.session.as_ref().map(|s| s.id()),
+        session_id: job.session_id(),
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The reason this job must stop right now, if any. The deadline is
-/// checked first: a job that is both cancelled and past its deadline
-/// reports the deadline (a draining server that outlives a job's budget
-/// must still answer `deadline_exceeded`, not a generic cancel).
-fn job_status(job: &QueuedJob, sched: &Scheduler<QueuedJob>) -> Option<JobError> {
-    if job.deadline.is_some_and(|d| Instant::now() >= d) {
-        Some(JobError::DeadlineExceeded)
-    } else if job.is_cancelled(sched) {
-        Some(JobError::Cancelled)
-    } else {
-        None
-    }
-}
-
-/// Runs one job under the cancellation + panic guards. Never panics.
+/// Runs one job through the shared executor and renders its
+/// [`JobResult`]. Never panics.
 fn execute_job(
     job: &QueuedJob,
     worker: usize,
@@ -1246,120 +1125,41 @@ fn execute_job(
     sched: &Arc<Scheduler<QueuedJob>>,
 ) -> JobResult {
     let queue_wait = job.enqueued.elapsed();
-    if let Some(error) = job_status(job, sched) {
-        return aborted_result(job, worker, queue_wait, Duration::ZERO, error);
-    }
     // The kernel-level cancellation check must own its captures (it is
     // re-installed inside MSM worker threads), so it clones the job's
     // scoping handles instead of borrowing the job.
-    let check: zkvc_ff::cancel::CancelCheck = {
+    let cancelled = {
         let sched = Arc::clone(sched);
         let session = job.session.clone();
-        let deadline = job.deadline;
-        Arc::new(move || {
-            deadline.is_some_and(|d| Instant::now() >= d)
-                || sched.is_cancelled()
-                || session.as_ref().is_some_and(|s| s.is_cancelled())
-        })
+        move || sched.is_cancelled() || session.as_ref().is_some_and(|s| s.is_cancelled())
     };
-    match catch_unwind(AssertUnwindSafe(|| {
-        crate::fault::fire_panic("pool.pickup.panic");
-        let _cancel = zkvc_ff::cancel::install(check);
-        run_job(job, worker, queue_wait, cache, &|| job_status(job, sched))
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            let error = if payload
-                .downcast_ref::<zkvc_ff::cancel::Cancelled>()
-                .is_some()
-            {
-                // A kernel checkpoint stopped the job cooperatively;
-                // re-derive which condition tripped it.
-                job_status(job, sched).unwrap_or(JobError::Cancelled)
-            } else {
-                JobError::Panicked(panic_message(payload.as_ref()))
-            };
-            aborted_result(job, worker, queue_wait, Duration::ZERO, error)
-        }
-    }
-}
-
-fn run_job(
-    job: &QueuedJob,
-    worker: usize,
-    queue_wait: Duration,
-    cache: &KeyCache,
-    status: &dyn Fn() -> Option<JobError>,
-) -> JobResult {
-    let t0 = Instant::now();
-    let statement = build_statement(job.seed, job.statement_id, &job.spec);
-    let statement_time = t0.elapsed();
-
-    // Cooperative checkpoint: a cancellation that lands mid-build skips
-    // the (much more expensive) setup + prove work.
-    if let Some(error) = status() {
-        return aborted_result(job, worker, queue_wait, statement_time, error);
-    }
-
-    // Shape + keys: on a warm template no synthesis of any kind runs —
-    // the compiled CSR shape and key material come straight from the
-    // cache, keyed by the job spec. The first job of a spec pays one
-    // witness-free shape pass plus the setup.
-    let system = job.spec.backend().system();
-    let (keys, cache_hit) = cache.get_or_setup_template(
-        job.spec.backend(),
-        job.seed,
-        &job.spec.to_string(),
-        statement.as_ref(),
-    );
-
-    // Witness pass: the only per-job synthesis work — a flat assignment,
-    // validated against the cached shape.
-    let t1 = Instant::now();
-    let witness = generate_witness_for(statement.as_ref(), &keys.shape);
-    let build_time = statement_time + t1.elapsed();
-
-    let mut prover_rng = StdRng::seed_from_u64(
-        job.seed ^ (job.statement_id as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-    );
-    let t1 = Instant::now();
-    crate::fault::fire_delay("pool.prove.delay");
-    let artifacts = system.prove_assignment(&keys.prover, &witness, &mut prover_rng);
-    let prove_time = t1.elapsed();
-    let num_constraints = artifacts.metrics.num_constraints;
-
-    // Cross the byte boundary before verifying, as a remote consumer
-    // would. Pool envelopes are keyless: the Groth16 vk ships once per
-    // batch in the report's key table, not once per proof. Verification
-    // checks statement binding first: the envelope's public inputs must be
-    // exactly the statement's expected public outputs (the witness pass's
-    // instance values).
-    let proof_bytes = ProofEnvelope::from_artifacts(&artifacts)
-        .without_vk()
-        .to_bytes();
-    let t2 = Instant::now();
-    let verified = envelope_verifies(&proof_bytes, &witness.instance, |envelope| {
-        envelope.verify_with_key(&keys.verifier)
-    });
-    let verify_time = t2.elapsed();
-
-    JobResult {
-        id: job.id,
-        spec: job.spec,
+    let exec_job = exec::Job {
+        spec: &job.spec,
         seed: job.seed,
-        proof_bytes,
-        verified,
-        error: None,
-        cache_hit,
-        shape_digest: keys.digest,
-        worker,
-        tag: job.tag.clone(),
-        queue_wait,
-        build_time,
-        prove_time,
-        verify_time,
-        num_constraints,
-        session_id: job.session.as_ref().map(|s| s.id()),
+        statement_id: job.statement_id,
+        deadline: job.deadline,
+        shipped: None,
+    };
+    match exec::execute(cache, &exec_job, cancelled, true) {
+        Ok(proved) => JobResult {
+            id: job.id,
+            spec: job.spec,
+            seed: job.seed,
+            num_constraints: proved.artifacts.metrics.num_constraints,
+            proof_bytes: proved.proof_bytes,
+            verified: proved.verified,
+            error: None,
+            cache_hit: proved.cache_hit,
+            shape_digest: proved.keys.digest,
+            worker,
+            tag: job.tag.clone(),
+            queue_wait,
+            build_time: proved.build_time,
+            prove_time: proved.prove_time,
+            verify_time: proved.verify_time,
+            session_id: job.session_id(),
+        },
+        Err(error) => aborted_result(job, worker, queue_wait, error),
     }
 }
 
@@ -1399,7 +1199,7 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
         let t0 = Instant::now();
         let statement = build_statement(seed, id, spec);
         let build_time = t0.elapsed();
-        let mut rng = StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let mut rng = prover_rng(seed, id);
         let artifacts = spec
             .backend()
             .system()
@@ -1639,7 +1439,7 @@ mod tests {
 
     #[test]
     fn serve_style_requests_match_single_prove() {
-        // submit_request pins the statement id to 0: the proof is
+        // A seeded request pins the statement id to 0: the proof is
         // byte-identical to job 0 of a fresh batch at the same seed, no
         // matter how many requests preceded it in the resident pool.
         let cache = Arc::new(KeyCache::with_seed(0));
@@ -1736,47 +1536,5 @@ mod tests {
         ctl.cancel();
         post_cancel.join().unwrap();
         assert!(ctl.in_flight() >= 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_shims_match_the_unified_entry_point() {
-        // The five legacy submission methods are thin shims over
-        // submit(spec, JobOptions): each pair below must produce
-        // byte-identical proofs and identical metadata.
-        let spec = JobSpec::new(3, 3, 3).with_backend(Backend::Spartan);
-        let run = |f: &dyn Fn(&ProvingPool)| {
-            let pool = ProvingPool::with_cache(1, 3, Arc::new(KeyCache::with_seed(3)));
-            f(&pool);
-            pool.join()
-        };
-        let ctl = || Arc::new(SessionCtl::new(9, 4));
-
-        let old = run(&|p| {
-            p.submit_prioritized(spec, Priority::High);
-            p.submit_request(spec, 5, Priority::Normal, Some("r".into()));
-            p.submit_request_with_deadline(spec, 5, Priority::Normal, None, None);
-            p.submit_for_session(spec, 5, Priority::Normal, None, ctl());
-            p.submit_for_session_with_deadline(spec, 5, Priority::Normal, None, ctl(), None);
-        });
-        let new = run(&|p| {
-            p.submit(spec, JobOptions::new().priority(Priority::High));
-            p.submit(spec, JobOptions::new().seed(5).tag("r"));
-            p.submit(spec, JobOptions::new().seed(5));
-            p.submit(spec, JobOptions::new().seed(5).session(ctl()));
-            p.submit(
-                spec,
-                JobOptions::new().seed(5).session(ctl()).deadline_opt(None),
-            );
-        });
-        assert_eq!(old.results.len(), new.results.len());
-        for (a, b) in old.results.iter().zip(new.results.iter()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.tag, b.tag);
-            assert_eq!(a.session_id, b.session_id);
-            assert_eq!(a.proof_bytes, b.proof_bytes, "job {}", a.id);
-            assert!(a.verified && b.verified);
-        }
     }
 }

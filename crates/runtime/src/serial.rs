@@ -16,7 +16,6 @@ use zkvc_core::backend::ProofData;
 use zkvc_core::{Backend, ProofArtifacts, ProveMetrics, VerifierKey};
 use zkvc_ff::{Fr, PrimeField};
 use zkvc_groth16 as groth16;
-use zkvc_r1cs::ConstraintSystem;
 use zkvc_spartan::SpartanProof;
 
 use crate::codec::ENVELOPE_MAGIC as MAGIC;
@@ -213,28 +212,12 @@ impl ProofEnvelope {
         }
     }
 
-    /// Verifies against a circuit structure: Spartan preprocessing is
-    /// re-derived from `cs`, while the Groth16 arm trusts the envelope's
-    /// embedded key (`cs` does not enter the pairing check) and therefore
-    /// rejects keyless envelopes — there is nothing to check them against.
-    /// When the expected key material is known, prefer
-    /// [`Self::verify_with_key`], which binds the proof to that key.
-    pub fn verify_cs(&self, cs: &ConstraintSystem<Fr>) -> bool {
-        match &self.proof {
-            EnvelopeProof::Groth16 {
-                vk: Some(vk),
-                proof,
-            } => groth16::verify(vk, &self.public_inputs, proof),
-            EnvelopeProof::Groth16 { vk: None, .. } => false,
-            EnvelopeProof::Spartan { proof } => {
-                zkvc_spartan::SpartanVerifier::preprocess(cs).verify(&self.public_inputs, proof)
-            }
-        }
-    }
-
-    /// [`Self::verify_cs`] against a compiled shape (the two-pass form):
-    /// Spartan preprocessing is re-derived from the CSR matrices, Groth16
-    /// trusts the embedded key and rejects keyless envelopes.
+    /// Verifies against a compiled circuit shape: Spartan preprocessing is
+    /// re-derived from the CSR matrices, while the Groth16 arm trusts the
+    /// envelope's embedded key (the shape does not enter the pairing
+    /// check) and therefore rejects keyless envelopes — there is nothing
+    /// to check them against. When the expected key material is known,
+    /// prefer [`Self::verify_with_key`], which binds the proof to that key.
     pub fn verify_with_shape(&self, shape: &zkvc_r1cs::CompiledShape<Fr>) -> bool {
         match &self.proof {
             EnvelopeProof::Groth16 {
@@ -288,6 +271,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use zkvc_core::api::compile_shape;
     use zkvc_core::matmul::{MatMulBuilder, Strategy};
 
     #[test]
@@ -297,12 +281,15 @@ mod tests {
             .strategy(Strategy::CrpcPsq)
             .build_random(&mut rng);
         for backend in Backend::ALL {
-            let artifacts = backend.prove_cs(&job.cs, &mut rng);
+            let artifacts = backend.system().prove_oneshot(&job, &mut rng);
             let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
             let envelope = ProofEnvelope::from_bytes(&bytes).expect("round trip");
             assert_eq!(envelope.backend, backend);
             assert_eq!(envelope.public_inputs, artifacts.public_inputs);
-            assert!(envelope.verify_cs(&job.cs), "{backend:?}");
+            assert!(
+                envelope.verify_with_shape(&compile_shape(&job)),
+                "{backend:?}"
+            );
             // Stable re-encoding.
             assert_eq!(envelope.to_bytes(), bytes);
         }
@@ -316,8 +303,10 @@ mod tests {
             .strategy(Strategy::Vanilla)
             .build_random(&mut rng);
         let cache = KeyCache::new();
-        let (keys, _) = cache.get_or_setup(Backend::Groth16, &job.cs);
-        let artifacts = Backend::Groth16.prove_with_key(&keys.prover, &job.cs, &mut rng);
+        let (keys, _) = cache.get_or_setup_circuit(Backend::Groth16, &job);
+        let artifacts = Backend::Groth16
+            .system()
+            .prove(&keys.prover, &job, &mut rng);
 
         let full = ProofEnvelope::from_artifacts(&artifacts);
         let full_bytes = full.to_bytes();
@@ -333,7 +322,7 @@ mod tests {
         // Keyed verification is unaffected by the missing vk...
         assert!(decoded.verify_with_key(&keys.verifier));
         // ...while the self-verifying paths are (correctly) unavailable.
-        assert!(!decoded.verify_cs(&job.cs));
+        assert!(!decoded.verify_with_shape(&compile_shape(&job)));
         assert!(decoded.into_artifacts().is_none());
         // The self-contained form still round-trips through artifacts.
         assert!(full.into_artifacts().is_some());
@@ -369,12 +358,12 @@ mod tests {
             .strategy(Strategy::Vanilla)
             .build_random(&mut rng);
         let cache = KeyCache::new();
-        let (keys_a, _) = cache.get_or_setup(Backend::Groth16, &job_a.cs);
-        let forged = Backend::Groth16.prove_cs(&job_b.cs, &mut rng);
+        let (keys_a, _) = cache.get_or_setup_circuit(Backend::Groth16, &job_a);
+        let forged = Backend::Groth16.system().prove_oneshot(&job_b, &mut rng);
         let envelope =
             ProofEnvelope::from_bytes(&ProofEnvelope::from_artifacts(&forged).to_bytes()).unwrap();
         // Internally consistent (its own embedded vk accepts it)...
-        assert!(envelope.verify_cs(&job_b.cs));
+        assert!(envelope.verify_with_shape(&compile_shape(&job_b)));
         // ...but rejected by the key the statement actually demands.
         assert!(!envelope.verify_with_key(&keys_a.verifier));
     }
@@ -385,7 +374,7 @@ mod tests {
         let job = MatMulBuilder::new(2, 2, 2)
             .strategy(Strategy::Vanilla)
             .build_random(&mut rng);
-        let artifacts = Backend::Spartan.prove_cs(&job.cs, &mut rng);
+        let artifacts = Backend::Spartan.system().prove_oneshot(&job, &mut rng);
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         assert!(ProofEnvelope::decode(&bytes).is_ok());
         // Same payload stamped with a future version digit: typed error.
@@ -412,7 +401,7 @@ mod tests {
         let job = MatMulBuilder::new(2, 2, 2)
             .strategy(Strategy::Vanilla)
             .build_random(&mut rng);
-        let artifacts = Backend::Spartan.prove_cs(&job.cs, &mut rng);
+        let artifacts = Backend::Spartan.system().prove_oneshot(&job, &mut rng);
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         assert!(ProofEnvelope::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(ProofEnvelope::from_bytes(b"NOTMAGIC").is_none());
@@ -422,7 +411,7 @@ mod tests {
         wrong_tag[tag_pos] = 9;
         assert!(ProofEnvelope::from_bytes(&wrong_tag).is_none());
         // A truncated keyless Groth16 envelope is rejected too.
-        let g16 = Backend::Groth16.prove_cs(&job.cs, &mut rng);
+        let g16 = Backend::Groth16.system().prove_oneshot(&job, &mut rng);
         let keyless = ProofEnvelope::from_artifacts(&g16).without_vk().to_bytes();
         assert!(ProofEnvelope::from_bytes(&keyless[..keyless.len() - 1]).is_none());
     }

@@ -28,9 +28,13 @@ use zkvc_runtime::{
     NetSummary, ServeConfig,
 };
 
-/// A spec slow enough in the debug profile (seconds per proof) that a
-/// short deadline lands mid-kernel, not between jobs.
-const SLOW_SPEC: &str = "16x16x16:zkvc:g";
+/// A spec slow enough that a short deadline lands mid-kernel, not between
+/// jobs. The arithmetic crates build optimised even in the debug profile,
+/// so the spec must make the interruptible prove (~0.27 s on two cores)
+/// dwarf both the 15 ms deadline floor below and the statement and
+/// witness build (~0.05 s), which no kernel checkpoint interrupts: the
+/// vanilla strategy's O(abn) constraints do.
+const SLOW_SPEC: &str = "24x24x24:vanilla:g";
 /// A spec fast enough to saturate-and-release quickly in shed tests.
 const FAST_SPEC: &str = "2x2x2:zkvc:s";
 

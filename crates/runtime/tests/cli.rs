@@ -5,6 +5,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use zkvc_runtime::{JobOptions, JobSpec, ProofEnvelope, ProvingPool};
+
 fn zkvc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_zkvc"))
         .args(args)
@@ -138,6 +140,50 @@ fn model_job_proves_and_verifies_through_the_cli() {
         proof_str,
     ]);
     assert_eq!(out.status.code(), Some(1), "cross-preset verify must fail");
+}
+
+#[test]
+fn cli_proof_is_the_pool_request_mode_proof() {
+    // `zkvc prove --spec S --seed N` and a pool job submitted with
+    // `JobOptions::seed(N)` run the same request-mode job: once the CLI
+    // envelope drops its embedded vk, the bytes must match the pool's
+    // keyless envelope exactly. A batch job goes first so the request
+    // job's pool id is not 0: the statement id stays pinned to 0 anyway.
+    for (spec, name) in [("3x3x3:zkvc:g", "req-g.bin"), ("2x3x2:zkvc:s", "req-s.bin")] {
+        let path = tmp_file(name);
+        let path_str = path.to_str().unwrap();
+        let out = zkvc(&[
+            "prove",
+            "--spec",
+            spec,
+            "--seed",
+            "11",
+            "--key-cache",
+            "none",
+            "--out",
+            path_str,
+        ]);
+        assert!(
+            out.status.success(),
+            "{spec}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let (job, _) = JobSpec::parse(spec).unwrap();
+        let cli = ProofEnvelope::from_bytes(&std::fs::read(&path).unwrap())
+            .expect("CLI envelope decodes");
+        // The file is self-contained: Groth16 embeds its vk.
+        assert_eq!(
+            cli.embedded_vk().is_some(),
+            job.backend() == zkvc_core::Backend::Groth16
+        );
+        let pool = ProvingPool::new(1);
+        pool.submit(job, JobOptions::new());
+        let id = pool.submit(job, JobOptions::new().seed(11));
+        let report = pool.join();
+        let pooled = &report.results[id];
+        assert!(pooled.verified, "{spec}");
+        assert_eq!(cli.without_vk().to_bytes(), pooled.proof_bytes, "{spec}");
+    }
 }
 
 #[test]

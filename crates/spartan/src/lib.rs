@@ -21,8 +21,8 @@
 //! ## Example
 //!
 //! ```rust
-//! use zkvc_spartan::{SpartanProver, SpartanVerifier};
-//! use zkvc_r1cs::ConstraintSystem;
+//! use zkvc_spartan::SpartanProver;
+//! use zkvc_r1cs::{CompiledShape, ConstraintSystem};
 //! use zkvc_ff::{Fr, PrimeField};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -33,9 +33,9 @@
 //! cs.enforce(x.into(), x.into(), out.into());
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let prover = SpartanProver::preprocess(&cs);
-//! let proof = prover.prove(&cs, &mut rng);
-//! let verifier = SpartanVerifier::preprocess(&cs);
+//! let prover = SpartanProver::preprocess_shape(&CompiledShape::from_cs(&cs));
+//! let proof = prover.prove_assignment(cs.instance_assignment(), cs.witness_assignment(), &mut rng);
+//! let verifier = prover.to_verifier();
 //! assert!(verifier.verify(cs.instance_assignment(), &proof));
 //! ```
 

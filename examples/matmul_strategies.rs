@@ -20,6 +20,7 @@ fn main() {
         "strategy", "constraints", "variables", "left wires", "setup(s)", "prove(s)"
     );
 
+    let system = Backend::Groth16.system();
     let mut baseline = None;
     for strategy in Strategy::ALL {
         let job = MatMulBuilder::new(a, n, b)
@@ -27,16 +28,18 @@ fn main() {
             .build_random(&mut rng);
         assert!(job.cs.is_satisfied());
         let t = Instant::now();
-        let artifacts = Backend::Groth16.prove(&job, &mut rng);
+        let (pk, vk) = system.setup(&job, &mut rng);
+        let setup = t.elapsed();
+        let artifacts = system.prove(&pk, &job, &mut rng);
         let total = t.elapsed();
-        assert!(Backend::Groth16.verify(&job, &artifacts));
+        assert!(system.verify(&vk, &artifacts));
         println!(
             "{:<20} {:>12} {:>12} {:>12} {:>12.3} {:>12.3}",
             strategy.name(),
             job.stats.num_constraints,
             job.stats.num_variables,
             job.stats.num_left_wires,
-            artifacts.metrics.setup_time.as_secs_f64(),
+            setup.as_secs_f64(),
             artifacts.metrics.prove_time.as_secs_f64(),
         );
         if strategy == Strategy::Vanilla {

@@ -6,6 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::RawCircuit;
 use zkvc::core::fixed::FixedPointConfig;
 use zkvc::core::nonlinear::{synthesize_softmax, SoftmaxConfig};
 use zkvc::core::Backend;
@@ -44,8 +45,11 @@ fn main() {
     }
 
     let mut rng = StdRng::seed_from_u64(5);
-    let artifacts = Backend::Groth16.prove_cs(&cs, &mut rng);
-    let ok = Backend::Groth16.verify_cs(&cs, &artifacts);
+    let system = Backend::Groth16.system();
+    let circuit = RawCircuit::new(&cs);
+    let (pk, vk) = system.setup(&circuit, &mut rng);
+    let artifacts = system.prove(&pk, &circuit, &mut rng);
+    let ok = system.verify(&vk, &artifacts);
     println!(
         "\nGroth16 proof of the SoftMax evaluation: {} bytes, proved in {:.3?}, verified: {ok}",
         artifacts.metrics.proof_size_bytes, artifacts.metrics.prove_time

@@ -5,6 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::RawCircuit;
 use zkvc::core::matmul::Strategy;
 use zkvc::core::Backend;
 use zkvc::nn::circuit::ModelCircuit;
@@ -48,8 +49,11 @@ fn main() {
     // Prove the zkVC hybrid with the transparent backend.
     let (schedule, circuit) = circuits.last().unwrap();
     let mut rng = StdRng::seed_from_u64(77);
-    let artifacts = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-    let ok = Backend::Spartan.verify_cs(&circuit.cs, &artifacts);
+    let system = Backend::Spartan.system();
+    let raw = RawCircuit::new(&circuit.cs);
+    let (pk, vk) = system.setup(&raw, &mut rng);
+    let artifacts = system.prove(&pk, &raw, &mut rng);
+    let ok = system.verify(&vk, &artifacts);
     println!(
         "\nProved the '{}' schedule with the Spartan backend in {:.3?} ({} byte proof). Verified: {ok}",
         schedule.name, artifacts.metrics.prove_time, artifacts.metrics.proof_size_bytes

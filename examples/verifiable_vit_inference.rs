@@ -6,8 +6,11 @@
 //! The model here is a reduced ViT so the example finishes in seconds; the
 //! `table3` harness in `zkvc-bench` runs the paper's configurations.
 
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::RawCircuit;
 use zkvc::core::matmul::Strategy;
 use zkvc::core::Backend;
 use zkvc::nn::circuit::ModelCircuit;
@@ -48,13 +51,20 @@ fn main() {
     );
 
     let mut rng = StdRng::seed_from_u64(9);
+    let raw = RawCircuit::new(&circuit.cs);
     for backend in Backend::ALL {
-        let artifacts = backend.prove_cs(&circuit.cs, &mut rng);
-        let (ok, verify_time) = backend.verify_cs_timed(&circuit.cs, &artifacts);
+        let system = backend.system();
+        let t0 = Instant::now();
+        let (pk, vk) = system.setup(&raw, &mut rng);
+        let setup_time = t0.elapsed();
+        let artifacts = system.prove(&pk, &raw, &mut rng);
+        let t1 = Instant::now();
+        let ok = system.verify(&vk, &artifacts);
+        let verify_time = t1.elapsed();
         println!(
             "{:<8}  setup: {:>8.3?}  prove: {:>8.3?}  verify: {:>8.3?}  proof: {:>7} bytes  ok: {}",
             backend.name(),
-            artifacts.metrics.setup_time,
+            setup_time,
             artifacts.metrics.prove_time,
             verify_time,
             artifacts.metrics.proof_size_bytes,

@@ -3,6 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::RawCircuit;
 use zkvc::core::matmul::{MatMulBuilder, Strategy, ZSource};
 use zkvc::core::Backend;
 use zkvc::ff::{Field, Fr, PrimeField};
@@ -35,9 +36,11 @@ fn every_strategy_proves_and_verifies_on_both_backends() {
             .build_integers(&x, &w);
         assert!(job.cs.is_satisfied(), "{strategy:?}");
         for backend in Backend::ALL {
-            let artifacts = backend.prove(&job, &mut rng);
+            let system = backend.system();
+            let (pk, vk) = system.setup(&job, &mut rng);
+            let artifacts = system.prove(&pk, &job, &mut rng);
             assert!(
-                backend.verify(&job, &artifacts),
+                system.verify(&vk, &artifacts),
                 "{strategy:?} on {backend:?}"
             );
         }
@@ -69,7 +72,9 @@ fn groth16_proof_does_not_verify_for_a_different_statement() {
     let job = MatMulBuilder::new(3, 4, 3)
         .strategy(Strategy::CrpcPsq)
         .build_integers(&x, &w);
-    let artifacts = Backend::Groth16.prove(&job, &mut rng);
+    let system = Backend::Groth16.system();
+    let (pk, vk) = system.setup(&job, &mut rng);
+    let artifacts = system.prove(&pk, &job, &mut rng);
     // Same circuit, different witness/statement: the verification key does
     // not carry over to a circuit with different constants.
     let (x2, w2) = matrices(3, 4, 3, 9);
@@ -82,7 +87,7 @@ fn groth16_proof_does_not_verify_for_a_different_statement() {
     if let zkvc::core::backend::ProofData::Groth16 { proof, .. } = &mut bad.data {
         proof.a = (proof.a.to_projective() + zkvc::curve::G1Projective::generator()).to_affine();
     }
-    assert!(!Backend::Groth16.verify(&job, &bad));
+    assert!(!system.verify(&vk, &bad));
     let _ = other;
 }
 
@@ -101,8 +106,11 @@ fn dishonest_witness_cannot_be_proved_with_spartan() {
     witness[y_index] += Fr::from_u64(1);
     cs.set_witness_assignment(witness);
     assert!(!cs.is_satisfied());
-    let artifacts = Backend::Spartan.prove_cs(&cs, &mut rng);
-    assert!(!Backend::Spartan.verify_cs(&cs, &artifacts));
+    let system = Backend::Spartan.system();
+    let circuit = RawCircuit::new(&cs);
+    let (pk, vk) = system.setup(&circuit, &mut rng);
+    let artifacts = system.prove(&pk, &circuit, &mut rng);
+    assert!(!system.verify(&vk, &artifacts));
 }
 
 #[test]

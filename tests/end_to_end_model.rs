@@ -3,11 +3,23 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::RawCircuit;
 use zkvc::core::matmul::Strategy;
 use zkvc::core::Backend;
+use zkvc::ff::Fr;
 use zkvc::nn::circuit::ModelCircuit;
 use zkvc::nn::mixer::{MixerSchedule, TokenMixer};
 use zkvc::nn::models::{BertConfig, ModelConfig, VitConfig};
+use zkvc::r1cs::ConstraintSystem;
+
+/// Sets up, proves and verifies `cs` with the Spartan backend.
+fn spartan_roundtrip(cs: &ConstraintSystem<Fr>, rng: &mut StdRng) -> bool {
+    let system = Backend::Spartan.system();
+    let circuit = RawCircuit::new(cs);
+    let (pk, vk) = system.setup(&circuit, rng);
+    let artifacts = system.prove(&pk, &circuit, rng);
+    system.verify(&vk, &artifacts)
+}
 
 fn tiny_vit() -> ModelConfig {
     VitConfig::custom(2, 2, 8, 4, 3).to_model()
@@ -33,8 +45,7 @@ fn micro_vit_end_to_end_spartan() {
         1,
     );
     assert!(circuit.cs.is_satisfied());
-    let artifacts = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-    assert!(Backend::Spartan.verify_cs(&circuit.cs, &artifacts));
+    assert!(spartan_roundtrip(&circuit.cs, &mut rng));
 }
 
 #[test]
@@ -109,8 +120,7 @@ fn bert_slice_with_linear_mixer_builds_and_proves() {
     };
     let circuit = ModelCircuit::build(&micro, &schedule, Strategy::CrpcPsq, 4);
     assert!(circuit.cs.is_satisfied());
-    let artifacts = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-    assert!(Backend::Spartan.verify_cs(&circuit.cs, &artifacts));
+    assert!(spartan_roundtrip(&circuit.cs, &mut rng));
 }
 
 #[test]

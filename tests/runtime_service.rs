@@ -1,6 +1,7 @@
 //! Workspace-level integration test: the batch-proving service consumed
 //! through the umbrella crate, the way a downstream user would.
 
+use zkvc::core::api::RawCircuit;
 use zkvc::core::matmul::Strategy;
 use zkvc::core::Backend;
 use zkvc::runtime::{circuit_shape_digest, prove_batch, JobSpec, KeyCache, ProofEnvelope};
@@ -52,15 +53,16 @@ fn shape_digest_drives_key_reuse_across_callers() {
     assert_eq!(circuit_shape_digest(&cs1), circuit_shape_digest(&cs2));
 
     let cache = KeyCache::new();
-    let (k1, hit1) = cache.get_or_setup(Backend::Groth16, &cs1);
-    let (k2, hit2) = cache.get_or_setup(Backend::Groth16, &cs2);
+    let (k1, hit1) = cache.get_or_setup_circuit(Backend::Groth16, &RawCircuit::new(&cs1));
+    let (k2, hit2) = cache.get_or_setup_circuit(Backend::Groth16, &RawCircuit::new(&cs2));
     assert!(!hit1 && hit2);
     assert_eq!(k1.digest, k2.digest);
 
     // And the shared key proves/verifies both assignments.
     let mut rng = StdRng::seed_from_u64(3);
     for cs in [&cs1, &cs2] {
-        let artifacts = Backend::Groth16.prove_with_key(&k1.prover, cs, &mut rng);
-        assert!(Backend::Groth16.verify_with_key(&k2.verifier, &artifacts));
+        let system = Backend::Groth16.system();
+        let artifacts = system.prove(&k1.prover, &RawCircuit::new(cs), &mut rng);
+        assert!(system.verify(&k2.verifier, &artifacts));
     }
 }
